@@ -1,7 +1,7 @@
 PYTHON ?= python
 PYTEST = PYTHONPATH=src $(PYTHON) -m pytest
 
-.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench bench-gate
+.PHONY: test tier1 robustness supervision batching service soak perf pipeline tenancy smoke bench bench-gate dpbench dpbench-test
 
 # full suite
 test:
@@ -62,12 +62,23 @@ smoke: tier1 robustness batching service pipeline tenancy perf
 
 # tier-2 dispatch bench gate: fail unless batched dispatch cuts IPC
 # round-trips >= 10x without a wall-clock regression (the wall claim
-# self-skips on single-core hosts)
+# self-skips on single-core hosts); the only run that records gate
+# outcomes into BENCH_engine.json
 bench-gate:
-	$(PYTEST) -q -m perf tests/test_bench_gate.py
+	$(PYTEST) -q -m perf tests/test_bench_gate.py --record-gates
 
 # A/B the thread and process data planes on the pinned FW-APSP workload
 # and write BENCH_engine.json (wall-clock, shuffle bytes, zero-copy
 # accounting per backend).  BENCH_ARGS="--quick" for CI scale.
 bench:
 	PYTHONPATH=src $(PYTHON) benchmarks/bench_driver.py $(BENCH_ARGS)
+
+# the repo benchmark (BENCHMARK.json): all four workloads, oracle-checked
+# (dpbench/README.md); DPBENCH_ARGS picks the seed and run length
+DPBENCH_ARGS ?= --seed 1 --seconds 24
+dpbench:
+	$(PYTHON) dpbench/run.py --workload all $(DPBENCH_ARGS)
+
+# the benchmark's own tests (~1 min; not part of tier-1)
+dpbench-test:
+	$(PYTHON) -m pytest dpbench/tests

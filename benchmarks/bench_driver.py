@@ -336,10 +336,13 @@ def main(argv=None) -> int:
     n = 256 if args.quick else args.n
     if n % args.grid:
         ap.error(f"--n {n} must be divisible by --grid {args.grid}")
-    r = n // args.grid
+    # GepSparkSolver's r is the grid *count* (tiles per side), not the
+    # tile side
+    r = args.grid
+    tile = n // args.grid
 
-    print(f"bench: FW-APSP n={n} grid={args.grid}x{args.grid} (r={r}) "
-          f"strategy={args.strategy} seed={args.seed}")
+    print(f"bench: FW-APSP n={n} grid={args.grid}x{args.grid} of {tile}^2 "
+          f"tiles strategy={args.strategy} seed={args.seed}")
     table = random_digraph_weights(n, 0.3, seed=args.seed)
     # The dispatch plane A/B: per-tile IPC (the historical loss to
     # threads), batched per-worker round-trips, and barrier gangs.
@@ -428,7 +431,7 @@ def main(argv=None) -> int:
             "spec": "fw-apsp",
             "n": n,
             "grid": args.grid,
-            "r": r,
+            "tile": tile,
             "strategy": args.strategy,
             "seed": args.seed,
         },

@@ -41,7 +41,7 @@ def main() -> None:
         print(
             f"  function {fn.name}: row-aliased={fn.row_aliased}, "
             f"col-aliased={fn.col_aliased}, disjoint operands "
-            f"{fn.reads_disjoint or '()'}, needs Σ_G mask={fn.needs_sigma_mask}"
+            f"{fn.reads_disjoint or '()'}, needs Σ_G guard={fn.needs_sigma_guard}"
         )
 
     print("\n== the two methodologies agree (both benchmarks, r = 3) ==")

@@ -71,6 +71,10 @@ class GepSpec(abc.ABC):
     #: relative per-cell-update cost (1.0 = FW's min/+ on doubles); used
     #: by the cluster cost model to derive kernel rates per problem
     update_weight: float = 1.0
+    #: whether :meth:`apply_k` materializes into a caller-supplied
+    #: scratch tile (GE) — kernels then allocate one per call, not one
+    #: per step
+    needs_scratch: bool = False
 
     # ------------------------------------------------------------------
     # scalar semantics (reference / Σ_G)
@@ -97,57 +101,37 @@ class GepSpec(abc.ABC):
         u_col: np.ndarray,
         v_row: np.ndarray,
         w_kk: Any,
-        mask: np.ndarray | None,
+        buf: np.ndarray | None,
     ) -> None:
         """In-place update of tile ``x`` for one global ``k`` step.
 
-        ``x[a, b] = f(x[a, b], u_col[a], v_row[b], w_kk)`` wherever
-        ``mask`` is true (``mask is None`` means everywhere).  ``u_col``
-        and ``v_row`` may be *views aliasing ``x``* (kernel cases A/B/C);
-        implementations must therefore materialize any combination of
-        ``u_col``/``v_row`` before writing into ``x``.
+        ``x[a, b] = f(x[a, b], u_col[a], v_row[b], w_kk)`` for every
+        cell: callers pass ``x`` already cut to the step's Σ_G box (see
+        :meth:`sigma_box`).  ``u_col`` and ``v_row`` may be *views
+        aliasing ``x``* (kernel cases A/B/C); implementations must
+        therefore materialize any combination of ``u_col``/``v_row``
+        before writing into ``x``.  ``buf`` is a scratch array at least
+        ``x``'s shape, reused across steps, for specs that declare
+        :attr:`needs_scratch`; ``None`` for the others.
         """
 
-    def sigma_mask(
+    def sigma_box(
         self, gi0: int, gj0: int, shape: tuple[int, int], gk: int
-    ) -> np.ndarray | None:
-        """Boolean Σ_G mask for a tile at global offset ``(gi0, gj0)``.
+    ) -> tuple[int, int] | None:
+        """The Σ_G box of a tile at global offset ``(gi0, gj0)``, step ``gk``.
 
-        Returns ``None`` when every cell of the tile is in Σ_G for step
-        ``gk`` (the common fast path), so kernels can skip masking.
+        Σ_G's constraints ``i > k`` / ``j > k`` are half-planes, so the
+        updated cells of any tile form the box ``[a0, mi) x [b0, mj)``;
+        this returns its first local row and column ``(a0, b0)``, or
+        ``None`` when the tile has no update at step ``gk``.
+        Unconstrained specs always get the full tile ``(0, 0)``.
         """
         mi, mj = shape
-        row_ok = (not self.constrains_i) or gi0 > gk
-        col_ok = (not self.constrains_j) or gj0 > gk
-        if row_ok and col_ok:
+        a0 = max(gk + 1 - gi0, 0) if self.constrains_i else 0
+        b0 = max(gk + 1 - gj0, 0) if self.constrains_j else 0
+        if a0 >= mi or b0 >= mj:
             return None
-        if self.constrains_i and gi0 + mi - 1 <= gk:
-            return np.zeros(shape, dtype=bool)
-        if self.constrains_j and gj0 + mj - 1 <= gk:
-            return np.zeros(shape, dtype=bool)
-        rows = np.ones(mi, dtype=bool)
-        cols = np.ones(mj, dtype=bool)
-        if self.constrains_i:
-            rows = (gi0 + np.arange(mi)) > gk
-        if self.constrains_j:
-            cols = (gj0 + np.arange(mj)) > gk
-        return rows[:, None] & cols[None, :]
-
-    def sigma_mask_free(
-        self, gi0: int, gj0: int, shape: tuple[int, int], gk_lo: int, gk_hi: int
-    ) -> bool:
-        """True when :meth:`sigma_mask` is ``None`` for *every* ``gk`` in
-        ``[gk_lo, gk_hi)`` — the tile kernels' fast-path predicate.
-
-        The base Σ_G constraints (``i > k`` / ``j > k``) only get harder
-        as ``gk`` grows (``gi0 > gk`` / ``gj0 > gk`` are antitone in
-        ``gk``), so mask-freedom at the largest step implies it for the
-        whole range; one check replaces a per-``kk`` probe.  Overrides
-        with a non-monotone ``sigma_mask`` must override this too.
-        """
-        if gk_hi <= gk_lo:
-            return True
-        return self.sigma_mask(gi0, gj0, shape, gk_hi - 1) is None
+        return a0, b0
 
     def k_active(self, gk: int, n: int) -> bool:
         """Whether global step ``gk`` performs any update on an n x n table.
@@ -200,14 +184,11 @@ class SemiringGep(GepSpec):
         sr = self.semiring
         return sr.add(np.asarray(cij), sr.mul(np.asarray(cik), np.asarray(ckj)))[()]
 
-    def apply_k(self, x, u_col, v_row, w_kk, mask):
+    def apply_k(self, x, u_col, v_row, w_kk, buf):
         sr = self.semiring
         # Materialize the ⊙-combination first: u_col/v_row may alias x.
         cand = sr.mul(u_col[:, None], v_row[None, :])
-        if mask is None:
-            sr.add_inplace(x, cand)
-        else:
-            x[mask] = sr.add(x[mask], cand[mask])
+        sr.add_inplace(x, cand)
 
     def pad_value(self, i, j):
         return self.semiring.one if i == j else self.semiring.zero
@@ -249,6 +230,7 @@ class GaussianEliminationGep(GepSpec):
     constrains_i = True
     constrains_j = True
     update_weight = 1.6  # divide + multiply + subtract per cell
+    needs_scratch = True
 
     def __init__(self, n_pivots: int | None = None) -> None:
         if n_pivots is not None and n_pivots < 0:
@@ -258,15 +240,15 @@ class GaussianEliminationGep(GepSpec):
     def f(self, cij, cik, ckj, ckk):
         return cij - cik * ckj / ckk
 
-    def apply_k(self, x, u_col, v_row, w_kk, mask):
-        # np.outer materializes before the in-place subtraction, so
-        # aliasing views (kernel cases A/B/C) are safe.
-        update = np.outer(u_col, v_row)
+    def apply_k(self, x, u_col, v_row, w_kk, buf):
+        # np.outer's op order (multiply, then divide, then subtract), so
+        # the bits match; materializing into scratch before the in-place
+        # subtraction keeps aliasing views (kernel cases A/B/C) safe.
+        mi, mj = x.shape
+        update = buf[:mi, :mj]
+        np.multiply(u_col[:, None], v_row[None, :], out=update)
         update /= w_kk
-        if mask is None:
-            x -= update
-        else:
-            x[mask] -= update[mask]
+        x -= update
 
     def k_active(self, gk, n):
         hi = n if self.n_pivots is None else min(n, self.n_pivots)
@@ -312,9 +294,13 @@ def gep_reference_vectorized(spec: GepSpec, table: np.ndarray) -> np.ndarray:
     n = c.shape[0]
     if c.shape[0] != c.shape[1]:
         raise ValueError("GEP reference requires a square table")
+    buf = np.empty(c.shape, c.dtype) if spec.needs_scratch else None
     for k in range(n):
         if not spec.k_active(k, n):
             continue
-        mask = spec.sigma_mask(0, 0, (n, n), k)
-        spec.apply_k(c, c[:, k], c[k, :], c[k, k], mask)
+        box = spec.sigma_box(0, 0, (n, n), k)
+        if box is None:
+            continue
+        a0, b0 = box
+        spec.apply_k(c[a0:, b0:], c[a0:, k], c[k, b0:], c[k, k], buf)
     return c

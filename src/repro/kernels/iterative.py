@@ -25,6 +25,10 @@ B passes ``v is x``, C passes ``u is x``, D passes four distinct tiles.
 Reads of aliased views stay correct because Σ_G (or semiring identity
 no-ops) pins row/column ``kk`` during step ``kk``, and because
 ``GepSpec.apply_k`` materializes the combination before writing.
+
+Σ_G's constraints are half-planes (``i > k``, ``j > k``), so each step
+updates a box ``x[a0:, b0:]`` of the tile (``GepSpec.sigma_box``); the
+kernel hands ``apply_k`` that box as a view instead of masking cells.
 """
 
 from __future__ import annotations
@@ -68,38 +72,27 @@ def gep_tile_update(
         raise ValueError(f"U tile shape {u.shape} != {(x.shape[0], pivot)}")
     if v.shape != (pivot, x.shape[1]):
         raise ValueError(f"V tile shape {v.shape} != {(pivot, x.shape[1])}")
-    # Fast path: when no step of this tile's pivot range needs a Σ_G
-    # mask (checked once — mask-freedom is monotone in gk) and every
-    # step is active, the per-``kk`` spec probes (two Python calls plus
-    # possible mask-array allocation each) hoist out of the loop
-    # entirely.  This is the hot shape: FW/TC tiles are never masked,
-    # and GE tiles strictly below/right of the pivot stop being masked
-    # as soon as ``gi0 > gk`` / ``gj0 > gk``.
-    if spec.sigma_mask_free(gi0, gj0, x.shape, gk0, gk0 + pivot) and all(
-        spec.k_active(gk0 + kk, n_global) for kk in range(pivot)
-    ):
-        w_diag = None if w is None else w.diagonal()
-        for kk in range(pivot):
-            spec.apply_k(
-                x, u[:, kk], v[kk, :], None if w is None else w_diag[kk], None
-            )
-        if stats is not None:
-            stats.record_base(case, x.shape[0], x.shape[1], pivot, x.size * pivot)
-        return
+    # Σ_G cuts every step to the box x[a0:, b0:] (GepSpec.sigma_box);
+    # the box view is re-sliced only when a step moves it, and one
+    # tile-sized scratch buffer serves every step's materialization.
+    buf = np.empty(x.shape, x.dtype) if spec.needs_scratch else None
+    box, xs = (0, 0), x
     updates = 0
     for kk in range(pivot):
         gk = gk0 + kk
         if not spec.k_active(gk, n_global):
             continue
-        mask = spec.sigma_mask(gi0, gj0, x.shape, gk)
-        if mask is not None:
-            active = int(mask.sum())
-            if active == 0:
-                continue
-            updates += active
-        else:
-            updates += x.size
-        spec.apply_k(x, u[:, kk], v[kk, :], None if w is None else w[kk, kk], mask)
+        step = spec.sigma_box(gi0, gj0, x.shape, gk)
+        if step is None:
+            continue
+        if step != box:
+            box = step
+            xs = x[box[0] :, box[1] :]
+        a0, b0 = box
+        updates += xs.size
+        spec.apply_k(
+            xs, u[a0:, kk], v[kk, b0:], None if w is None else w[kk, kk], buf
+        )
     if stats is not None:
         stats.record_base(case, x.shape[0], x.shape[1], pivot, updates)
 

@@ -33,7 +33,7 @@ class KernelStats:
     Attributes
     ----------
     updates:
-        Total GEP cell updates (``Σ K*mi*mj`` over unmasked work).
+        Total GEP cell updates: the cells of each step's Σ_G box, summed.
     invocations:
         Count of base-case kernel invocations per case name.
     recursion_calls:

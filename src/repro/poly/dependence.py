@@ -18,6 +18,7 @@ schedule of methodology 1 call for call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..core.gep import GepSpec
 from .tiling import TileClass, TiledGep
@@ -28,6 +29,7 @@ __all__ = [
     "bernstein_dependent",
     "asap_levels",
     "iteration_read_versions",
+    "build_read_versions",
     "cross_iteration_edges",
     "schedule_iteration",
     "poly_schedule",
@@ -149,8 +151,40 @@ class VersionedAccess:
     post_reads: frozenset[tuple[int, int]]
 
 
-def iteration_read_versions(spec: GepSpec, kb: int, nb: int) -> list[VersionedAccess]:
-    """Version-resolved access sets for every updated tile of ``kb``."""
+def iteration_read_versions(
+    spec: GepSpec, kb: int, nb: int
+) -> tuple[VersionedAccess, ...]:
+    """Version-resolved access sets for every updated tile of ``kb``.
+
+    The relation is static per grid shape, so it is built once and
+    memoized: the pipelined driver asks for it every iteration of every
+    solve.  The cache key is complete by construction — the build sees
+    only :class:`_SigmaAxes`, the spec's Σ_G axis constraints (the one
+    spec property tiling reads), plus ``(kb, nb)``.  Records are frozen
+    and returned in a tuple, so callers cannot corrupt the cache.
+    """
+    return _cached_read_versions(
+        _SigmaAxes(spec.constrains_i, spec.constrains_j), kb, nb
+    )
+
+
+@dataclass(frozen=True)
+class _SigmaAxes:
+    """The part of a :class:`GepSpec` the dependence relation reads."""
+
+    constrains_i: bool
+    constrains_j: bool
+
+
+@lru_cache(maxsize=256)
+def _cached_read_versions(
+    axes: _SigmaAxes, kb: int, nb: int
+) -> tuple[VersionedAccess, ...]:
+    return build_read_versions(axes, kb, nb)
+
+
+def build_read_versions(spec: GepSpec, kb: int, nb: int) -> tuple[VersionedAccess, ...]:
+    """Uncached :func:`iteration_read_versions` (builds the relation)."""
     tiles, level = asap_levels(spec, kb, nb)
     writer_level = {(t.ib, t.jb): lv for t, lv in zip(tiles, level)}
     out: list[VersionedAccess] = []
@@ -167,7 +201,7 @@ def iteration_read_versions(spec: GepSpec, kb: int, nb: int) -> list[VersionedAc
         out.append(
             VersionedAccess(acc.point, t.case, acc.write, frozenset(pre), frozenset(post))
         )
-    return out
+    return tuple(out)
 
 
 def cross_iteration_edges(

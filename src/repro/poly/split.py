@@ -44,7 +44,7 @@ class SplitFunction:
         Input tiles guaranteed disjoint from the output tile — the
         measure of available parallelism the paper's criterion ranks
         cases by (D: all three disjoint; A: none).
-    needs_sigma_mask:
+    needs_sigma_guard:
         Whether the intra-tile loop must retain the Σ_G guard (boundary
         tiles).
     """
@@ -53,7 +53,7 @@ class SplitFunction:
     row_aliased: bool
     col_aliased: bool
     reads_disjoint: tuple[str, ...]
-    needs_sigma_mask: bool
+    needs_sigma_guard: bool
 
     @property
     def parallelism_rank(self) -> int:
@@ -93,20 +93,20 @@ def index_set_split(spec: GepSpec, nb: int = 4) -> list[SplitFunction]:
                 row_aliased=cls.row_aliased,
                 col_aliased=cls.col_aliased,
                 reads_disjoint=tuple(disjoint),
-                needs_sigma_mask=tiled.intra_tile_is_partial(cls),
+                needs_sigma_guard=tiled.intra_tile_is_partial(cls),
             )
             prev = seen.get(sig)
             if prev is None:
                 seen[sig] = fn
             elif prev != fn:
-                # A signature must classify uniformly; merge the mask
+                # A signature must classify uniformly; merge the guard
                 # requirement conservatively (boundary tiles need it).
                 seen[sig] = SplitFunction(
                     fn.name,
                     fn.row_aliased,
                     fn.col_aliased,
                     fn.reads_disjoint,
-                    prev.needs_sigma_mask or fn.needs_sigma_mask,
+                    prev.needs_sigma_guard or fn.needs_sigma_guard,
                 )
     order = {"A": 0, "B": 1, "C": 2, "D": 3}
     return sorted(seen.values(), key=lambda f: order[f.name])

@@ -96,5 +96,5 @@ class TiledGep:
         return out
 
     def intra_tile_is_partial(self, cls: TileClass) -> bool:
-        """Whether the tile needs a Σ_G mask inside (boundary tile)."""
+        """Whether Σ_G cuts the tile (boundary tile: its kernel box shrinks)."""
         return any(s is TileStatus.PARTIAL for _, s in cls.statuses)

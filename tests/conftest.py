@@ -73,6 +73,15 @@ elif not _HAVE_PYTEST_TIMEOUT:  # pragma: no cover - non-POSIX fallback
         )
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--record-gates",
+        action="store_true",
+        help="merge bench-gate outcomes into BENCH_engine.json "
+        "(make bench-gate passes this; plain test runs never write it)",
+    )
+
+
 @pytest.fixture
 def multi_worker():
     """Skip tests whose assertion only holds with real hardware

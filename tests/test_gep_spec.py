@@ -1,4 +1,4 @@
-"""GEP specifications: Σ_G, masks, references, padding."""
+"""GEP specifications: Σ_G and its per-tile boxes, references, padding."""
 
 import numpy as np
 import pytest
@@ -31,36 +31,72 @@ class TestSigma:
         assert not ge_spec.sigma(2, 1, 1)
         assert not ge_spec.sigma(1, 1, 1)
 
+    # Σ_G is a box per tile and step (GepSpec.sigma_box); every test
+    # below checks the box cell by cell against the scalar ``sigma``.
     def test_ge_mask_matches_sigma(self, ge_spec):
         n = 7
         for k in (0, 3, 6):
-            mask = ge_spec.sigma_mask(0, 0, (n, n), k)
-            expect = np.array(
-                [[ge_spec.sigma(i, j, k) for j in range(n)] for i in range(n)]
+            np.testing.assert_array_equal(
+                _box_cells(ge_spec, 0, 0, (n, n), k),
+                _sigma_cells(ge_spec, 0, 0, (n, n), k),
             )
-            np.testing.assert_array_equal(mask, expect)
 
     def test_fw_mask_is_none(self, fw_spec):
-        assert fw_spec.sigma_mask(0, 0, (5, 5), 2) is None
+        # unconstrained: the box is the whole tile at every step
+        assert fw_spec.sigma_box(0, 0, (5, 5), 2) == (0, 0)
+        assert _box_cells(fw_spec, 0, 0, (5, 5), 2).all()
 
     def test_ge_mask_fast_path_below_pivot(self, ge_spec):
-        # Tile entirely right/below the pivot: no masking needed.
-        assert ge_spec.sigma_mask(5, 5, (3, 3), 4) is None
+        # Tile entirely right/below the pivot: the box is the full tile.
+        assert ge_spec.sigma_box(5, 5, (3, 3), 4) == (0, 0)
 
     def test_ge_mask_zero_for_dead_tile(self, ge_spec):
-        mask = ge_spec.sigma_mask(0, 5, (3, 3), 4)
-        assert mask is not None and not mask.any()
+        assert ge_spec.sigma_box(0, 5, (3, 3), 4) is None
+        assert not _sigma_cells(ge_spec, 0, 5, (3, 3), 4).any()
 
     def test_offset_mask_consistency(self, ge_spec):
         n, gi0, gj0, k = 4, 3, 6, 4
-        mask = ge_spec.sigma_mask(gi0, gj0, (n, n), k)
-        expect = np.array(
-            [
-                [ge_spec.sigma(gi0 + a, gj0 + b, k) for b in range(n)]
-                for a in range(n)
-            ]
+        np.testing.assert_array_equal(
+            _box_cells(ge_spec, gi0, gj0, (n, n), k),
+            _sigma_cells(ge_spec, gi0, gj0, (n, n), k),
         )
-        np.testing.assert_array_equal(mask, expect)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FloydWarshallGep(), GaussianEliminationGep(), TransitiveClosureGep()],
+        ids=["fw", "ge", "tc"],
+    )
+    def test_box_matches_sigma_cell_by_cell(self, spec):
+        """Exhaustive over offsets straddling the pivot, non-square
+        shapes (including empty extents) and steps before, inside and
+        after the tile."""
+        for gi0 in range(0, 7, 3):
+            for gj0 in range(0, 7, 2):
+                for shape in [(1, 1), (3, 2), (2, 5), (4, 4), (0, 3)]:
+                    for k in range(-1, 11):
+                        np.testing.assert_array_equal(
+                            _box_cells(spec, gi0, gj0, shape, k),
+                            _sigma_cells(spec, gi0, gj0, shape, k),
+                            err_msg=str((gi0, gj0, shape, k)),
+                        )
+
+
+def _sigma_cells(spec, gi0, gj0, shape, k):
+    """Scalar Σ_G membership of every cell of a tile."""
+    mi, mj = shape
+    return np.array(
+        [[spec.sigma(gi0 + a, gj0 + b, k) for b in range(mj)] for a in range(mi)],
+        dtype=bool,
+    ).reshape(shape)
+
+
+def _box_cells(spec, gi0, gj0, shape, k):
+    """The cells ``sigma_box`` selects, as a boolean tile."""
+    cells = np.zeros(shape, dtype=bool)
+    box = spec.sigma_box(gi0, gj0, shape, k)
+    if box is not None:
+        cells[box[0] :, box[1] :] = True
+    return cells
 
 
 class TestPivotRange:

@@ -88,17 +88,18 @@ class TestIterativeTileKernel:
 
 @pytest.mark.parametrize("name", SPECS)
 class TestMaskHoistFastPath:
-    """The vectorized kernel's hoisted fast path (no per-``kk`` mask /
-    activity probes) must be indistinguishable from the general path —
-    and from the scalar loop — wherever it fires."""
+    """Tiles whose Σ_G box is the whole tile at every step (FW/TC
+    always; GE strictly below/right of the pivot band) must be
+    indistinguishable from the scalar loop, as must the band tiles
+    whose box shrinks step by step."""
 
     def test_fast_and_masked_tiles_match_loop(self, name):
         spec, make = SPECS[name]
         n, r = 16, 4
         full = make(n, seed=13).copy()
         # Walk every tile of the second pivot step: GE tiles touching
-        # the pivot row/column band take the masked path, tiles strictly
-        # below/right of it take the hoisted path, FW/TC always hoist.
+        # the pivot row/column band get a shrinking box, tiles strictly
+        # below/right of it the full tile, FW/TC always the full tile.
         gk0 = 4
         for gi0 in range(0, n, r):
             for gj0 in range(0, n, r):
@@ -112,56 +113,54 @@ class TestMaskHoistFastPath:
                 assert_tables_equal(x1, x2)
 
     def test_fast_path_fires_where_expected(self, name, monkeypatch):
-        """Below/right of the pivot band no per-step probe runs at all."""
+        """Below/right of the pivot band every step updates the full
+        tile: one box probe per step, each answering ``(0, 0)``."""
         spec, make = SPECS[name]
         n, r, gk0 = 16, 4, 4
-        calls = {"mask": 0}
-        orig = type(spec).sigma_mask
+        boxes = []
+        orig = type(spec).sigma_box
 
-        def counting_mask(self, gi0, gj0, shape, gk):
-            calls["mask"] += 1
-            return orig(self, gi0, gj0, shape, gk)
+        def recording_box(self, gi0, gj0, shape, gk):
+            boxes.append(orig(self, gi0, gj0, shape, gk))
+            return boxes[-1]
 
-        monkeypatch.setattr(type(spec), "sigma_mask", counting_mask)
+        monkeypatch.setattr(type(spec), "sigma_box", recording_box)
         full = make(n, seed=3).copy()
         x = full[8:12, 8:12].copy()
         u = full[8:12, gk0 : gk0 + r].copy()
         v = full[gk0 : gk0 + r, 8:12].copy()
         w = full[gk0 : gk0 + r, gk0 : gk0 + r].copy()
-        gep_tile_update(spec, x, u, v, w, 8, 8, gk0, n)
-        # one probe from sigma_mask_free's single gk_hi-1 check; the
-        # hoisted loop itself never calls sigma_mask again
-        assert calls["mask"] == 1
+        stats = KernelStats()
+        gep_tile_update(spec, x, u, v, w, 8, 8, gk0, n, stats=stats, case="D")
+        assert boxes == [(0, 0)] * r
+        assert stats.updates == x.size * r
 
     def test_fast_path_stats_match_general_path(self, name):
+        """``stats.updates`` equals the scalar Σ_G count, on full-box
+        tiles and on band tiles alike."""
         spec, make = SPECS[name]
         n, r = 12, 4
         full = make(n, seed=8).copy()
-        x = full[8:12, 8:12].copy()
-        u = full[8:12, 0:4].copy()
-        v = full[0:4, 8:12].copy()
         w = full[0:4, 0:4].copy()
-        fast = KernelStats()
-        gep_tile_update(spec, x.copy(), u, v, w, 8, 8, 0, n, stats=fast, case="D")
-        # Force the general path by lying about mask freedom.
-        class NoHoist(type(spec)):
-            def sigma_mask_free(self, gi0, gj0, shape, gk_lo, gk_hi):
-                return False
-
-        plain = KernelStats()
-        gep_tile_update(
-            _copy_spec(spec, NoHoist), x.copy(), u, v, w, 8, 8, 0, n,
-            stats=plain, case="D",
-        )
-        assert fast.updates == plain.updates
-        assert fast.invocations == plain.invocations
+        for gi0, gj0 in [(8, 8), (0, 8), (8, 0), (0, 0)]:
+            x = full[gi0 : gi0 + r, gj0 : gj0 + r].copy()
+            u = full[gi0 : gi0 + r, 0:4].copy()
+            v = full[0:4, gj0 : gj0 + r].copy()
+            stats = KernelStats()
+            gep_tile_update(spec, x, u, v, w, gi0, gj0, 0, n, stats=stats, case="D")
+            assert stats.updates == _sigma_count(spec, gi0, gj0, x.shape, 0, r, n)
+            assert stats.invocations["D"] == 1
 
 
-def _copy_spec(spec, cls):
-    """A shallow clone of ``spec`` re-typed to ``cls`` (test helper)."""
-    clone = object.__new__(cls)
-    clone.__dict__.update(spec.__dict__)
-    return clone
+def _sigma_count(spec, gi0, gj0, shape, gk0, pivot, n_global):
+    """Scalar Σ_G update count of one tile-kernel call."""
+    return sum(
+        spec.sigma(gi0 + a, gj0 + b, gk0 + kk)
+        for kk in range(pivot)
+        if spec.k_active(gk0 + kk, n_global)
+        for a in range(shape[0])
+        for b in range(shape[1])
+    )
 
 
 def test_fast_path_respects_partial_pivot_range():
@@ -186,20 +185,88 @@ def test_fast_path_respects_partial_pivot_range():
     assert not np.allclose(x_p, x_full)
 
 
-def test_sigma_mask_free_antitone_contract():
-    """``sigma_mask_free`` checks only ``gk_hi - 1`` — valid because
-    base-Σ mask-freedom is antitone in ``gk``.  Spot-check the claim."""
+def test_sigma_box_monotone_contract():
+    """Σ_G boxes only shrink as ``gk`` grows: offsets never decrease,
+    and a tile with no update at ``gk`` has none at any later step."""
     spec = GaussianEliminationGep()
-    n, shape = 16, (4, 4)
     for gi0, gj0 in [(0, 0), (8, 8), (8, 0), (0, 8), (12, 12)]:
-        for gk_lo in range(0, 8):
-            for gk_hi in range(gk_lo, 8):
-                free = spec.sigma_mask_free(gi0, gj0, shape, gk_lo, gk_hi)
-                probed = all(
-                    spec.sigma_mask(gi0, gj0, shape, gk) is None
-                    for gk in range(gk_lo, gk_hi)
-                )
-                assert free == probed, (gi0, gj0, gk_lo, gk_hi)
+        for shape in [(4, 4), (3, 5)]:
+            prev = (0, 0)
+            for gk in range(0, 18):
+                box = spec.sigma_box(gi0, gj0, shape, gk)
+                if prev is None:
+                    assert box is None, (gi0, gj0, shape, gk)
+                elif box is not None:
+                    assert box[0] >= prev[0] and box[1] >= prev[1]
+                prev = box
+
+
+_PROPERTY_SPECS = {
+    "fw": (FloydWarshallGep, fw_table),
+    "tc": (TransitiveClosureGep, tc_table),
+    "ge": (GaussianEliminationGep, ge_table),
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_PROPERTY_SPECS)),
+    case=st.sampled_from("ABCD"),
+    cuts=st.lists(st.integers(1, 5), min_size=2, max_size=4),
+    data=st.data(),
+    seed=st.integers(0, 50),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_box_kernel_equals_scalar_loop(name, case, cuts, data, seed):
+    """The box kernel equals the scalar loop bit for bit, and counts
+    exactly the scalar Σ_G updates, for every alias pattern on an
+    uneven grid (non-square edge tiles) with the updated tile above,
+    on or below/right of the pivot band, and GE with ``n_pivots``
+    stopping anywhere."""
+    spec_cls, make = _PROPERTY_SPECS[name]
+    n_pivots = None
+    if name == "ge":
+        n_pivots = data.draw(st.one_of(st.none(), st.integers(0, sum(cuts))))
+    spec = spec_cls(n_pivots=n_pivots) if n_pivots is not None else spec_cls()
+    bounds = [0]
+    for c in cuts:
+        bounds.append(bounds[-1] + c)
+    n, nb = bounds[-1], len(cuts)
+    kb = data.draw(st.integers(0, nb - 1))
+    others = [t for t in range(nb) if t != kb]
+    ib = kb if case in "AB" else data.draw(st.sampled_from(others))
+    jb = kb if case in "AC" else data.draw(st.sampled_from(others))
+    table = make(n, seed=seed)
+    outs, counts = [], []
+    for fn in (gep_tile_update, gep_tile_update_loop):
+        t = table.copy()
+
+        def tile(i, j, t=t):
+            return t[bounds[i] : bounds[i + 1], bounds[j] : bounds[j + 1]]
+
+        x, u, v, w = tile(ib, jb), tile(ib, kb), tile(kb, jb), tile(kb, kb)
+        # the solver's aliasing: A u=v=w=x, B v=x, C u=x, D distinct
+        if case == "A":
+            u = v = w = x
+        elif case == "B":
+            v = x
+        elif case == "C":
+            u = x
+        if not spec.needs_w and data.draw(st.booleans()):
+            w = None
+        args = (spec, x, u, v, w, bounds[ib], bounds[jb], bounds[kb], n)
+        if fn is gep_tile_update:
+            stats = KernelStats()
+            fn(*args, stats=stats, case=case)
+            counts.append(stats.updates)
+        else:
+            fn(*args)
+        outs.append(t)
+    assert outs[0].tobytes() == outs[1].tobytes()
+    pivot = bounds[kb + 1] - bounds[kb]
+    shape = (bounds[ib + 1] - bounds[ib], bounds[jb + 1] - bounds[jb])
+    assert counts[0] == _sigma_count(
+        spec, bounds[ib], bounds[jb], shape, bounds[kb], pivot, n
+    )
 
 
 class TestKernelShapeValidation:

@@ -34,6 +34,8 @@ from repro.poly import (
     iteration_read_versions,
     schedule_iteration,
 )
+from repro.poly import dependence
+from repro.poly.dependence import build_read_versions
 from repro.sparkle import FaultPlan, FaultSpec, SparkleContext
 from repro.sparkle.pipeline import TileTracker
 
@@ -186,6 +188,47 @@ class TestDerivedDependences:
         edges = cross_iteration_edges(GE, 0, 3)
         assert (1, 0, 0) not in edges  # row 0 is retired after k=0
         assert (1, 1, 1) in edges
+
+
+class TestDependenceMemo:
+    """The static relation is built once per grid shape and shared."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [FW, GE, TC, GaussianEliminationGep(n_pivots=3)],
+        ids=["fw", "ge", "tc", "ge-partial"],
+    )
+    @pytest.mark.parametrize("nb", [1, 2, 3, 5])
+    def test_cached_relation_equals_fresh(self, spec, nb):
+        for kb in range(nb):
+            cached = iteration_read_versions(spec, kb, nb)
+            assert cached == build_read_versions(spec, kb, nb)
+            assert iteration_read_versions(spec, kb, nb) is cached
+            assert isinstance(cached, tuple)
+
+    def test_cached_records_are_immutable(self):
+        va = iteration_read_versions(GE, 0, 3)[0]
+        with pytest.raises(AttributeError):
+            va.pre_reads = frozenset()
+        assert isinstance(va.pre_reads, frozenset)
+
+    def test_second_pipelined_solve_builds_no_relation(self, monkeypatch):
+        builds = []
+        orig = dependence.build_read_versions
+
+        def counting(spec, kb, nb):
+            builds.append((kb, nb))
+            return orig(spec, kb, nb)
+
+        monkeypatch.setattr(dependence, "build_read_versions", counting)
+        dependence._cached_read_versions.cache_clear()
+        table = ge_table(22, seed=3)
+        first, _, _ = solve(table, spec=GE, strategy="cb", r=7, depth=2)
+        assert builds, "first solve should build the relation"
+        builds.clear()
+        second, _, _ = solve(table, spec=GE, strategy="im", r=7, depth=2)
+        assert builds == []
+        np.testing.assert_array_equal(first, second)
 
 
 # ----------------------------------------------------------------------

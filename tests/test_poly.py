@@ -116,15 +116,15 @@ class TestIndexSetSplit:
     def test_ge_boundary_masks(self):
         fns = {f.name: f for f in index_set_split(GE)}
         # A, B, C straddle the Σ_G boundary; D tiles are interior.
-        assert fns["A"].needs_sigma_mask
-        assert fns["B"].needs_sigma_mask
-        assert fns["C"].needs_sigma_mask
-        assert not fns["D"].needs_sigma_mask
+        assert fns["A"].needs_sigma_guard
+        assert fns["B"].needs_sigma_guard
+        assert fns["C"].needs_sigma_guard
+        assert not fns["D"].needs_sigma_guard
 
     def test_fw_no_masks_needed(self):
         fns = index_set_split(FW)
         assert [f.name for f in fns] == ["A", "B", "C", "D"]
-        assert not any(f.needs_sigma_mask for f in fns)
+        assert not any(f.needs_sigma_guard for f in fns)
 
     @pytest.mark.parametrize("nb", [2, 3, 4, 6])
     def test_split_stable_across_grid_sizes(self, nb):

@@ -798,14 +798,19 @@ class TestLifecycle:
     def test_stop_without_drain_fails_queued_requests_typed(self):
         sc = _context()
         gate = threading.Event()
+        picked_up = threading.Event()
         service = SolverService(sc)
         original = service._solve
         service._solve = lambda req, offload: (
+            picked_up.set(),
             gate.wait(60),
             original(req, offload),
-        )[1]
+        )[2]
         running = service.submit(_request(seed=0))
         queued = service.submit(_request(seed=1))
+        # stop() only lets in-flight work land: wait until the
+        # dispatcher has really taken ``running`` before stopping
+        assert picked_up.wait(60)
         stopper = threading.Thread(
             target=service.stop, kwargs={"drain": False}, daemon=True
         )
